@@ -3,15 +3,30 @@
 //!
 //! ```text
 //! cargo run --release -p reach-bench --bin claims -- [--baseline] [--speedup]
-//!     [--scaling [--full]] [--negatives] [--labeled-cost]   (default: all)
+//!     [--scaling [--full]] [--negatives] [--labeled-cost] [--parallel]
+//!     (default: all)
 //! ```
 
 use reach_bench::queries::query_mix;
-use reach_bench::registry::{build_lcr, build_plain};
-use reach_bench::report::{fmt_bytes, fmt_duration, timed, Table};
+use reach_bench::report::{fmt_bytes, fmt_duration, time_mix, timed, Table};
 use reach_bench::workloads::Shape;
+use reach_core::pipeline::{build_plain_prepared, BuildOpts};
+use reach_core::ReachIndex;
 use reach_graph::traverse::{bfs_reaches_counted, VisitMap};
+use reach_graph::{DiGraph, PreparedGraph};
+use reach_labeled::pipeline::build_lcr;
 use std::sync::Arc;
+
+/// Builds `name` with default options over shared prepared artifacts.
+fn build(name: &str, prepared: &PreparedGraph) -> Box<dyn ReachIndex> {
+    build_plain_prepared(name, prepared, &BuildOpts::default())
+}
+
+/// Builds `name` over a fresh [`PreparedGraph`], so the build time
+/// includes the condensation.
+fn timed_fresh_build(name: &str, g: &Arc<DiGraph>) -> (Box<dyn ReachIndex>, std::time::Duration) {
+    timed(|| build(name, &PreparedGraph::new_shared(Arc::clone(g))))
+}
 
 /// §2.3: "online traversal visits a large portion of the graph" and
 /// "the high computation and storage costs make TC infeasible".
@@ -57,19 +72,10 @@ fn speedup() {
     for shape in [Shape::Sparse, Shape::PowerLaw, Shape::Deep] {
         let g = Arc::new(shape.generate(n, 3));
         let mix = query_mix(&g, 1_000, 0.3, 4);
-        let bfs = build_plain("online-BFS", &g);
-        let (_, bfs_time) = timed(|| {
-            for &(s, t) in &mix.pairs {
-                std::hint::black_box(bfs.query(s, t));
-            }
-        });
+        let prepared = PreparedGraph::new_shared(g);
+        let bfs_time = time_mix(build("online-BFS", &prepared).as_ref(), &mix);
         for name in ["GRAIL", "BFL", "IP", "PReaCH", "PLL"] {
-            let idx = build_plain(name, &g);
-            let (_, t) = timed(|| {
-                for &(s, t) in &mix.pairs {
-                    std::hint::black_box(idx.query(s, t));
-                }
-            });
+            let t = time_mix(build(name, &prepared).as_ref(), &mix);
             table.row([
                 shape.name().to_string(),
                 name.to_string(),
@@ -100,7 +106,7 @@ fn scaling(full: bool) {
     for &n in sizes {
         let g = Arc::new(Shape::PowerLaw.generate(n, 5));
         for name in ["BFL", "IP", "GRAIL", "Feline", "PReaCH"] {
-            let (idx, build) = timed(|| build_plain(name, &g));
+            let (idx, build) = timed_fresh_build(name, &g);
             table.row([
                 n.to_string(),
                 g.num_edges().to_string(),
@@ -123,16 +129,17 @@ fn negatives() {
     println!("== §5: the value of no-false-negative lookups ==\n");
     let n = 30_000;
     let g = Arc::new(Shape::Sparse.generate(n, 8));
+    let prepared = PreparedGraph::new_shared(Arc::clone(&g));
+    let indexes: Vec<(&str, Box<dyn ReachIndex>)> =
+        ["GRAIL", "BFL", "IP", "Feline", "GRIPP", "online-BFS"]
+            .into_iter()
+            .map(|name| (name, build(name, &prepared)))
+            .collect();
     let mut table = Table::new(["negative share", "technique", "avg query"]);
     for share in [0.1, 0.5, 0.9] {
         let mix = query_mix(&g, 600, 1.0 - share, 11);
-        for name in ["GRAIL", "BFL", "IP", "Feline", "GRIPP", "online-BFS"] {
-            let idx = build_plain(name, &g);
-            let (_, t) = timed(|| {
-                for &(s, t) in &mix.pairs {
-                    std::hint::black_box(idx.query(s, t));
-                }
-            });
+        for (name, idx) in &indexes {
+            let t = time_mix(idx.as_ref(), &mix);
             table.row([
                 format!("{:.0}%", share * 100.0),
                 name.to_string(),
@@ -155,7 +162,7 @@ fn labeled_cost() {
     let plain = Arc::new(g.to_digraph());
     let mut table = Table::new(["technique", "kind", "build", "entries"]);
     for name in ["PLL", "TOL", "BFL", "GRAIL"] {
-        let (idx, build) = timed(|| build_plain(name, &plain));
+        let (idx, build) = timed_fresh_build(name, &plain);
         table.row([
             name.to_string(),
             "plain".to_string(),
@@ -164,7 +171,7 @@ fn labeled_cost() {
         ]);
     }
     for name in ["P2H+", "DLCR", "Landmark index", "Jin et al.", "Zou et al."] {
-        let (idx, build) = timed(|| build_lcr(name, &g));
+        let (idx, build) = timed(|| build_lcr(name, &g, &BuildOpts::default()));
         table.row([
             name.to_string(),
             "LCR".to_string(),

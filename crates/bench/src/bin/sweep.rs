@@ -1,7 +1,6 @@
 //! Parameter sweeps for the design choices the surveyed techniques
 //! hinge on: the `k` of GRAIL/Ferrari/IP, the bit budget of BFL, the
-//! landmark counts of HL, and the vertex order of TOL. Complements the
-//! Criterion ablation benches with a human-readable report.
+//! landmark counts of HL, and the vertex order of TOL.
 //!
 //! Every registry-driven configuration builds over one shared
 //! [`PreparedGraph`], so the whole sweep condenses the workload once
@@ -12,29 +11,14 @@
 //! cargo run --release -p reach-bench --bin sweep -- [--n 20000]
 //! ```
 
-use reach_bench::queries::query_mix;
-use reach_bench::registry::{build_plain_with_report, BuildOpts};
-use reach_bench::report::{fmt_bytes, fmt_duration, timed, Table};
+use reach_bench::queries::{query_mix, QueryMix};
+use reach_bench::report::{fmt_bytes, fmt_duration, time_mix, timed, Table};
 use reach_bench::workloads::Shape;
+use reach_core::pipeline::{build_plain_with_report, BuildOpts};
 use reach_core::tol::{OrderStrategy, Tol};
 use reach_core::ReachIndex;
 use reach_graph::PreparedGraph;
 use std::sync::Arc;
-
-fn count_hits(
-    idx: &dyn ReachIndex,
-    mix: &reach_bench::queries::QueryMix,
-) -> (usize, std::time::Duration) {
-    timed(|| {
-        let mut hits = 0;
-        for &(s, t) in &mix.pairs {
-            if idx.query(s, t) {
-                hits += 1;
-            }
-        }
-        hits
-    })
-}
 
 /// Builds registry entry `name` under `opts` on the shared prepared
 /// graph and appends a row with its labeling time and query speed.
@@ -44,11 +28,10 @@ fn sweep_spec(
     name: &str,
     prepared: &PreparedGraph,
     opts: &BuildOpts,
-    mix: &reach_bench::queries::QueryMix,
+    mix: &QueryMix,
 ) {
     let (idx, report) = build_plain_with_report(name, prepared, opts);
-    let (hits, query_time) = count_hits(idx.as_ref(), mix);
-    assert_eq!(hits, mix.positives);
+    let query_time = time_mix(idx.as_ref(), mix);
     table.row([
         label,
         fmt_duration(report.label),
@@ -64,11 +47,10 @@ fn sweep_raw<I: ReachIndex>(
     table: &mut Table,
     label: String,
     build: impl FnOnce() -> I,
-    mix: &reach_bench::queries::QueryMix,
+    mix: &QueryMix,
 ) {
     let (idx, build_time) = timed(build);
-    let (hits, query_time) = count_hits(&idx, mix);
-    assert_eq!(hits, mix.positives);
+    let query_time = time_mix(&idx, mix);
     table.row([
         label,
         fmt_duration(build_time),

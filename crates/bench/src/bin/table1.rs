@@ -8,9 +8,9 @@
 //! ```
 
 use reach_bench::queries::query_mix;
-use reach_bench::registry::{build_plain_with_report, plain_feasible, plain_names, BuildOpts};
-use reach_bench::report::{fmt_bytes, fmt_duration, timed, Table};
+use reach_bench::report::{index_table, Table};
 use reach_bench::workloads::Shape;
+use reach_core::pipeline::{plain_names, plain_native_meta};
 use reach_core::{Completeness, Dynamism, Framework, InputClass};
 use reach_graph::PreparedGraph;
 use std::sync::Arc;
@@ -38,7 +38,7 @@ fn print_matrix() {
         if name.starts_with("online") {
             continue;
         }
-        let m = reach_bench::registry::plain_native_meta(name);
+        let m = plain_native_meta(name);
         table.row([
             format!("{} {}", m.name, m.citation),
             framework_name(m.framework).to_string(),
@@ -66,7 +66,6 @@ fn print_matrix() {
 }
 
 fn empirical(n: usize) {
-    let opts = BuildOpts::default();
     for shape in [Shape::Sparse, Shape::Dense, Shape::PowerLaw, Shape::Cyclic] {
         let g = Arc::new(shape.generate(n, 42));
         let mix = query_mix(&g, 2_000, 0.5, 7);
@@ -79,62 +78,8 @@ fn empirical(n: usize) {
             mix.positives
         );
         // one PreparedGraph per workload: the whole sweep condenses once
-        let prepared = PreparedGraph::new_shared(Arc::clone(&g));
-        let mut table = Table::new([
-            "Technique",
-            "Build",
-            "Condense",
-            "Label",
-            "Entries",
-            "Bytes",
-            "Query(total)",
-            "Query(avg)",
-        ]);
-        for name in plain_names() {
-            if !plain_feasible(name, g.num_vertices(), g.num_edges()) {
-                table.row([
-                    name.to_string(),
-                    "(skipped: infeasible at this size)".into(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                ]);
-                continue;
-            }
-            let (idx, report) = build_plain_with_report(name, &prepared, &opts);
-            let (hits, q) = timed(|| {
-                let mut hits = 0usize;
-                for &(s, t) in &mix.pairs {
-                    if idx.query(s, t) {
-                        hits += 1;
-                    }
-                }
-                hits
-            });
-            assert_eq!(hits, mix.positives, "{name} answered a query wrongly");
-            table.row([
-                name.to_string(),
-                fmt_duration(report.total),
-                if report.reused_condensation() {
-                    "shared".to_string()
-                } else {
-                    fmt_duration(report.condense + report.order)
-                },
-                fmt_duration(report.label),
-                idx.size_entries().to_string(),
-                fmt_bytes(idx.size_bytes()),
-                fmt_duration(q),
-                fmt_duration(q / mix.pairs.len() as u32),
-            ]);
-        }
-        println!("{}", table.render());
-        assert!(
-            prepared.condensation_runs() <= 1,
-            "the sweep must share one condensation"
-        );
+        let prepared = PreparedGraph::new_shared(g);
+        println!("{}", index_table(&plain_names(), &prepared, &mix).render());
     }
 }
 

@@ -21,9 +21,9 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use reach_bench::registry::{build_plain_with_report, plain_names, BuildOpts};
 use reach_bench::report::{fmt_duration, timed, Table};
 use reach_bench::workloads::Shape;
+use reach_core::pipeline::{build_plain_with_report, plain_names, BuildOpts};
 use reach_core::QueryEngine;
 use reach_graph::{PreparedGraph, VertexId};
 use std::sync::Arc;

@@ -5,16 +5,17 @@
 //! qualitative claims, over synthetic workloads (see DESIGN.md §4 for
 //! the experiment-by-experiment index).
 //!
-//! * [`registry`] — uniform construction of every plain and every
-//!   path-constrained index behind trait objects;
+//! Indexes are built through the builder registries of
+//! `reach_core::pipeline` and `reach_labeled::pipeline`.
+//!
 //! * [`workloads`] — the named graph shapes the comparisons run on;
 //! * [`queries`] — query mixes with a controlled reachable share
 //!   (§5's argument revolves around unreachable-heavy mixes);
-//! * [`report`] — fixed-width table printing and wall-clock helpers.
+//! * [`report`] — fixed-width table printing, wall-clock helpers, and
+//!   [`report::time_mix`], the one checked loop that times a query mix.
 
 #![forbid(unsafe_code)]
 
 pub mod queries;
-pub mod registry;
 pub mod report;
 pub mod workloads;

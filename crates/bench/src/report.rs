@@ -1,7 +1,10 @@
 //! Fixed-width table printing and timing helpers for the report
-//! binaries.
+//! binaries, the CLI `bench` command and the examples.
 
-use reach_core::BuildReport;
+use crate::queries::QueryMix;
+use reach_core::pipeline::{build_plain_with_report, plain_feasible, BuildOpts};
+use reach_core::{BuildReport, ReachIndex};
+use reach_graph::PreparedGraph;
 use std::time::{Duration, Instant};
 
 /// Runs `f`, returning its result and the elapsed wall-clock time.
@@ -9,6 +12,69 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed())
+}
+
+/// Answers every pair of `mix` with `idx` and returns the wall time of
+/// the loop — the one loop that times a query mix. Panics, naming the
+/// index, when the number of reachable answers differs from
+/// `mix.positives`.
+pub fn time_mix(idx: &dyn ReachIndex, mix: &QueryMix) -> Duration {
+    let (hits, elapsed) = timed(|| mix.pairs.iter().filter(|&&(s, t)| idx.query(s, t)).count());
+    assert_eq!(
+        hits,
+        mix.positives,
+        "{} answered a query wrongly",
+        idx.meta().name
+    );
+    elapsed
+}
+
+/// The table `reach bench` and `table1 --empirical` print: one row per
+/// named plain index, built with default options over `prepared` and
+/// timed on `mix` through [`time_mix`]. An index whose feasibility
+/// gate rejects the graph gets a placeholder row. The "condense"
+/// column names the one build that paid for the shared condensation.
+pub fn index_table(names: &[&str], prepared: &PreparedGraph, mix: &QueryMix) -> Table {
+    let opts = BuildOpts::default();
+    let mut table = Table::new([
+        "index",
+        "build",
+        "condense",
+        "label",
+        "entries",
+        "bytes",
+        "query total",
+        "query avg",
+    ]);
+    for &name in names {
+        if !plain_feasible(name, prepared.num_vertices(), prepared.num_edges()) {
+            let mut row = vec![name.to_string(), "(infeasible at this size)".to_string()];
+            row.resize(8, String::new());
+            table.row(row);
+            continue;
+        }
+        let (idx, report) = build_plain_with_report(name, prepared, &opts);
+        let q = time_mix(idx.as_ref(), mix);
+        table.row([
+            name.to_string(),
+            fmt_duration(report.total),
+            if report.reused_condensation() {
+                "shared".to_string()
+            } else {
+                fmt_duration(report.condense + report.order)
+            },
+            fmt_duration(report.label),
+            report.size_entries.to_string(),
+            fmt_bytes(report.size_bytes),
+            fmt_duration(q),
+            fmt_duration(q / mix.pairs.len().max(1) as u32),
+        ]);
+    }
+    assert!(
+        prepared.condensation_runs() <= 1,
+        "the sweep must share one condensation"
+    );
+    table
 }
 
 /// A simple aligned text table.
@@ -124,6 +190,38 @@ pub fn fmt_bytes(b: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queries::query_mix;
+    use crate::workloads::Shape;
+    use reach_core::pipeline::build_plain_prepared;
+    use std::sync::Arc;
+
+    fn cyclic_prepared() -> (Arc<PreparedGraph>, QueryMix) {
+        let g = Arc::new(Shape::Cyclic.generate(200, 3));
+        let mix = query_mix(&g, 100, 0.4, 5);
+        (PreparedGraph::new_shared(g), mix)
+    }
+
+    #[test]
+    #[should_panic(expected = "BFL answered a query wrongly")]
+    fn time_mix_panics_on_a_wrong_positive_count() {
+        let (prepared, mut mix) = cyclic_prepared();
+        mix.positives += 1;
+        let idx = build_plain_prepared("BFL", &prepared, &BuildOpts::default());
+        time_mix(idx.as_ref(), &mix);
+    }
+
+    #[test]
+    fn index_table_rows_share_one_condensation() {
+        let (prepared, mix) = cyclic_prepared();
+        let s = index_table(&["GRAIL", "PLL", "no such index"], &prepared, &mix).render();
+        let lines: Vec<&str> = s.lines().collect();
+        assert_eq!(lines.len(), 5, "{s}");
+        assert!(lines[0].ends_with("query avg"), "{s}");
+        assert!(!lines[2].contains("shared"), "{s}");
+        assert!(lines[3].contains("shared"), "{s}");
+        assert!(lines[4].contains("infeasible"), "{s}");
+        assert_eq!(prepared.condensation_runs(), 1);
+    }
 
     #[test]
     fn table_renders_aligned() {

@@ -20,13 +20,13 @@
 #![forbid(unsafe_code)]
 
 use reach_bench::queries::query_mix;
-use reach_bench::registry::{
-    build_lcr, build_plain_with_report, lcr_names, plain_feasible, plain_names, plain_native_meta,
-    BuildOpts,
-};
-use reach_bench::report::{fmt_build_report, fmt_bytes, fmt_duration, timed, Table};
+use reach_bench::report::{fmt_build_report, fmt_duration, index_table, timed};
 use reach_bench::workloads::{Shape, ALL_SHAPES};
+use reach_core::pipeline::{
+    build_plain_with_report, plain_feasible, plain_names, plain_native_meta, BuildOpts,
+};
 use reach_graph::{io, DiGraph, GraphError, LabeledGraph, PreparedGraph, VertexId};
+use reach_labeled::pipeline::{build_lcr, lcr_feasible, lcr_names};
 use reach_labeled::rlc::RlcIndex;
 use reach_labeled::{ConstraintKind, RlcIndexApi};
 use std::fmt;
@@ -577,7 +577,7 @@ fn cmd_lcr(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             if !lcr_names().contains(&name) {
                 return Err(err(format!("unknown LCR index {name:?}")));
             }
-            let (idx, build) = timed(|| build_lcr(name, &g));
+            let (idx, build) = timed(|| build_lcr(name, &g, &BuildOpts::default()));
             writeln!(
                 out,
                 "constraint is an alternation {allowed:?}; built {name} in {}",
@@ -754,7 +754,6 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// Exits nonzero if any audited index reports a violation.
 fn cmd_verify(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     use reach_core::audit::{AuditConfig, AuditOutcome};
-    use reach_labeled::pipeline::lcr_feasible;
 
     let flags = parse_flags(args)?;
     let [path] = flags.rest.as_slice() else {
@@ -895,51 +894,8 @@ fn cmd_bench(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     )?;
     // one PreparedGraph for the whole run: every index shares the
     // condensation, and the "condense" column shows who paid for it
-    let prepared = PreparedGraph::new_shared(Arc::clone(&g));
-    let opts = BuildOpts::default();
-    let mut table = Table::new([
-        "index",
-        "build",
-        "condense",
-        "label",
-        "entries",
-        "bytes",
-        "query total",
-        "query avg",
-    ]);
-    for name in names {
-        if !plain_feasible(name, g.num_vertices(), g.num_edges()) {
-            table.row([
-                name.to_string(),
-                "(infeasible at this size)".into(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-            ]);
-            continue;
-        }
-        let (idx, report) = build_plain_with_report(name, &prepared, &opts);
-        let (hits, q) = timed(|| mix.pairs.iter().filter(|&&(s, t)| idx.query(s, t)).count());
-        assert_eq!(hits, mix.positives, "{name} answered a query wrongly");
-        table.row([
-            name.to_string(),
-            fmt_duration(report.total),
-            if report.reused_condensation() {
-                "shared".to_string()
-            } else {
-                fmt_duration(report.condense + report.order)
-            },
-            fmt_duration(report.label),
-            idx.size_entries().to_string(),
-            fmt_bytes(idx.size_bytes()),
-            fmt_duration(q),
-            fmt_duration(q / mix.pairs.len().max(1) as u32),
-        ]);
-    }
-    write!(out, "{}", table.render())?;
+    let prepared = PreparedGraph::new_shared(g);
+    write!(out, "{}", index_table(&names, &prepared, &mix).render())?;
     Ok(())
 }
 

@@ -13,9 +13,10 @@
 //! makes the whole taxonomy mechanically comparable.
 
 use reach_bench::queries::query_mix;
-use reach_bench::registry::{build_plain, plain_feasible, plain_names};
-use reach_bench::report::{fmt_bytes, fmt_duration, timed, Table};
+use reach_bench::report::{fmt_bytes, fmt_duration, time_mix, timed, Table};
 use reach_bench::workloads::Shape;
+use reachability::graph::PreparedGraph;
+use reachability::plain::pipeline::{build_plain_prepared, plain_feasible, plain_names, BuildOpts};
 use reachability::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -68,6 +69,8 @@ fn main() {
     );
 
     let mix = query_mix(&graph, 2_000, 1.0 - req.negative_share, 5);
+    // one PreparedGraph for every candidate: the condensation is shared
+    let prepared = PreparedGraph::new_shared(Arc::clone(&graph));
     let mut candidates: Vec<Candidate> = Vec::new();
     let mut rejected: Vec<(String, &'static str)> = Vec::new();
 
@@ -75,7 +78,7 @@ fn main() {
         if name.starts_with("online") || !plain_feasible(name, n, graph.num_edges()) {
             continue;
         }
-        let (idx, build) = timed(|| build_plain(name, &graph));
+        let (idx, build) = timed(|| build_plain_prepared(name, &prepared, &BuildOpts::default()));
         let meta = idx.meta();
         if !admissible(&meta, &req) {
             rejected.push((name.to_string(), "static index, workload needs inserts"));
@@ -85,8 +88,7 @@ fn main() {
             rejected.push((name.to_string(), "exceeds the memory ceiling"));
             continue;
         }
-        let (hits, total) = timed(|| mix.pairs.iter().filter(|&&(s, t)| idx.query(s, t)).count());
-        assert_eq!(hits, mix.positives);
+        let total = time_mix(idx.as_ref(), &mix);
         candidates.push(Candidate {
             name,
             meta,

@@ -2,10 +2,8 @@
 //! closure on every graph shape the workload generators produce —
 //! the central cross-index invariant of the workspace.
 
-use reach_bench::registry::{
-    build_plain, build_plain_prepared, plain_feasible, plain_names, BuildOpts,
-};
 use reach_bench::workloads::Shape;
+use reach_core::pipeline::{build_plain_prepared, plain_feasible, plain_names, BuildOpts};
 use reach_graph::PreparedGraph;
 use reachability::prelude::*;
 use std::sync::Arc;
@@ -13,11 +11,12 @@ use std::sync::Arc;
 fn check_shape(shape: Shape, n: usize, seed: u64) {
     let g = Arc::new(shape.generate(n, seed));
     let tc = TransitiveClosure::build(&g);
+    let prepared = PreparedGraph::new_shared(Arc::clone(&g));
     for name in plain_names() {
         if !plain_feasible(name, g.num_vertices(), g.num_edges()) {
             continue;
         }
-        let idx = build_plain(name, &g);
+        let idx = build_plain_prepared(name, &prepared, &BuildOpts::default());
         for s in g.vertices() {
             for t in g.vertices() {
                 assert_eq!(
@@ -67,8 +66,9 @@ fn all_indexes_agree_on_edge_cases() {
     for edges in [vec![], vec![(0u32, 1u32)], vec![(0, 1), (1, 2), (2, 0)]] {
         let g = Arc::new(DiGraph::from_edges(3, &edges));
         let tc = TransitiveClosure::build(&g);
+        let prepared = PreparedGraph::new_shared(Arc::clone(&g));
         for name in plain_names() {
-            let idx = build_plain(name, &g);
+            let idx = build_plain_prepared(name, &prepared, &BuildOpts::default());
             for s in g.vertices() {
                 for t in g.vertices() {
                     assert_eq!(idx.query(s, t), tc.reaches(s, t), "{name} on {edges:?}");
@@ -78,8 +78,9 @@ fn all_indexes_agree_on_edge_cases() {
     }
 }
 
-/// Pipeline builds (shared [`PreparedGraph`]) must answer identically
-/// to legacy standalone builds, for every registry entry.
+/// Pipeline builds on one shared [`PreparedGraph`] must answer
+/// identically to standalone builds on a fresh one, for every registry
+/// entry.
 fn check_pipeline_matches_legacy(g: &Arc<DiGraph>, what: &str) {
     let prepared = PreparedGraph::new_shared(Arc::clone(g));
     let opts = BuildOpts::default();
@@ -87,7 +88,7 @@ fn check_pipeline_matches_legacy(g: &Arc<DiGraph>, what: &str) {
         if !plain_feasible(name, g.num_vertices(), g.num_edges()) {
             continue;
         }
-        let legacy = build_plain(name, g);
+        let legacy = build_plain_prepared(name, &PreparedGraph::new_shared(Arc::clone(g)), &opts);
         let piped = build_plain_prepared(name, &prepared, &opts);
         for s in g.vertices() {
             for t in g.vertices() {
@@ -147,12 +148,12 @@ fn two_builds_on_one_prepared_graph_share_the_condensation() {
 
 #[test]
 fn sizes_are_reported_consistently() {
-    let g = Arc::new(Shape::Sparse.generate(120, 9));
+    let g = PreparedGraph::new(Shape::Sparse.generate(120, 9));
     for name in plain_names() {
         if !plain_feasible(name, 120, g.num_edges()) {
             continue;
         }
-        let idx = build_plain(name, &g);
+        let idx = build_plain_prepared(name, &g, &BuildOpts::default());
         if name.starts_with("online") {
             assert_eq!(idx.size_bytes(), 0, "{name}");
         } else {

@@ -15,11 +15,9 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use reach_bench::registry::{
-    build_lcr, build_plain_prepared, lcr_feasible, lcr_names, plain_feasible, plain_names,
-    BuildOpts,
-};
 use reach_core::audit::{audit_plain, AuditConfig};
+use reach_core::pipeline::{build_plain_prepared, plain_feasible, plain_names, BuildOpts};
+use reach_labeled::pipeline::{build_lcr, lcr_feasible, lcr_names};
 use reach_labeled::{audit_lcr, Nfa};
 use reachability::graph::generators::{random_digraph, random_labeled_digraph, LabelDistribution};
 use reachability::graph::PreparedGraph;
@@ -80,7 +78,7 @@ fn every_lcr_index_matches_the_automaton_guided_bfs() {
             if !lcr_feasible(name, g.num_vertices()) {
                 continue;
             }
-            let idx = build_lcr(name, &g);
+            let idx = build_lcr(name, &g, &BuildOpts::default());
             for &mask in &masks {
                 match alternation_expr(mask) {
                     Some(expr) => {
