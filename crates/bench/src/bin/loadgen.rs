@@ -37,6 +37,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use reach_bench::report::host_json;
 use reach_bench::workloads::Shape;
 use reach_core::{BuildOpts, IndexService};
 use reach_graph::PreparedGraph;
@@ -438,12 +439,13 @@ fn main() {
          \"seed\": {SEED},\n    \"index\": \"{}\",\n    \"clients\": {},\n    \
          \"requests_per_client\": {},\n    \"think_us\": {},\n    \
          \"batch_size\": {BATCH_SIZE}\n  }},\n  \
-         \"smoke\": {},\n  \"monotone_1_to_4\": {monotone},\n  \"sweep\": [\n{}\n  ]\n}}\n",
+         \"host\": {},\n  \"smoke\": {},\n  \"monotone_1_to_4\": {monotone},\n  \"sweep\": [\n{}\n  ]\n}}\n",
         cfg.n,
         cfg.index,
         cfg.clients,
         cfg.requests,
         cfg.think.as_micros(),
+        host_json(),
         cfg.smoke,
         sweep
     );

@@ -16,12 +16,13 @@
 //!
 //! Emits a JSON report (default `BENCH_throughput.json`) with, per
 //! index, the per-pair baseline rate and the batch rate at every thread
-//! count, plus a `verdicts_identical` flag asserting byte-identical
-//! answers across all configurations.
+//! count (with the shards the engine split the batch into), plus a
+//! `verdicts_identical` flag asserting byte-identical answers across
+//! all configurations.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use reach_bench::report::{fmt_duration, timed, Table};
+use reach_bench::report::{fmt_duration, host_json, timed, Table};
 use reach_bench::workloads::Shape;
 use reach_core::pipeline::{build_plain_with_report, plain_names, BuildOpts};
 use reach_core::QueryEngine;
@@ -43,7 +44,7 @@ struct Config {
 fn parse_args(args: &[String]) -> Config {
     let mut cfg = Config {
         n: 100_000,
-        queries: 4096,
+        queries: 65536,
         indexes: Vec::new(),
         thread_counts: vec![1, 2, 4, 8],
         out: "BENCH_throughput.json".to_string(),
@@ -82,7 +83,8 @@ fn parse_args(args: &[String]) -> Config {
             cfg.n = 2_000;
         }
         if !explicit_q {
-            cfg.queries = 512;
+            // enough for the 2-thread row to split into two shards
+            cfg.queries = 8192;
         }
         cfg.thread_counts = vec![1, 2];
     }
@@ -173,6 +175,7 @@ fn main() {
         let mut batch_rows: Vec<String> = Vec::new();
         for &threads in &cfg.thread_counts {
             let engine = QueryEngine::new(threads);
+            let shards = engine.shards(pairs.len());
             let (answers, batch_time) = timed(|| engine.run(idx.as_ref(), &pairs));
             if answers != reference {
                 verdicts_identical = false;
@@ -183,11 +186,11 @@ fn main() {
                 String::new(),
                 String::new(),
                 String::new(),
-                format!("batch, {threads} thread(s)"),
+                format!("batch, {threads} thread(s), {shards} shard(s)"),
                 format!("{speedup:.2}x ({qps:.0} qps)"),
             ]);
             batch_rows.push(format!(
-                "{{\"threads\": {threads}, \"ms\": {}, \"qps\": {}, \"speedup_vs_baseline\": {}}}",
+                "{{\"threads\": {threads}, \"shards\": {shards}, \"ms\": {}, \"qps\": {}, \"speedup_vs_baseline\": {}}}",
                 json_f64(batch_time.as_secs_f64() * 1e3),
                 json_f64(qps),
                 json_f64(speedup)
@@ -212,10 +215,11 @@ fn main() {
     let json = format!(
         "{{\n  \"workload\": {{\n    \"shape\": \"sparse-dag\",\n    \"n\": {},\n    \"m\": {},\n    \
          \"seed\": {SEED},\n    \"queries\": {},\n    \"targets_per_source\": {TARGETS_PER_SOURCE}\n  }},\n  \
-         \"thread_counts\": [{}],\n  \"smoke\": {},\n  \"indexes\": [\n{}\n  ]\n}}\n",
+         \"host\": {},\n  \"thread_counts\": [{}],\n  \"smoke\": {},\n  \"indexes\": [\n{}\n  ]\n}}\n",
         graph.num_vertices(),
         graph.num_edges(),
         pairs.len(),
+        host_json(),
         cfg.thread_counts
             .iter()
             .map(ToString::to_string)

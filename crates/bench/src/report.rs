@@ -14,6 +14,18 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     (out, start.elapsed())
 }
 
+/// The machine a `BENCH_*.json` report ran on, as a JSON object: CPU
+/// architecture, OS and the parallelism the OS grants this process
+/// (0 when it cannot tell).
+pub fn host_json() -> String {
+    format!(
+        "{{\"arch\": \"{}\", \"os\": \"{}\", \"available_parallelism\": {}}}",
+        std::env::consts::ARCH,
+        std::env::consts::OS,
+        std::thread::available_parallelism().map_or(0, |p| p.get())
+    )
+}
+
 /// Answers every pair of `mix` with `idx` and returns the wall time of
 /// the loop — the one loop that times a query mix. Panics, naming the
 /// index, when the number of reachable answers differs from

@@ -537,9 +537,9 @@ fn cmd_query(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         let qps = pairs.len() as f64 / elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
         writeln!(
             out,
-            "batch: {} queries on {} thread(s) in {} ({:.0} queries/s)",
+            "batch: {} queries on {} shard(s) in {} ({:.0} queries/s)",
             pairs.len(),
-            engine.threads(),
+            engine.shards(pairs.len()),
             fmt_duration(elapsed),
             qps
         )?;
@@ -1092,7 +1092,8 @@ mod tests {
         ])
         .unwrap();
         assert!(s.contains("Qr(5, 5) = true"), "{s}");
-        assert!(s.contains("batch: 3 queries on 4 thread(s)"), "{s}");
+        // 3 pairs are too few to shard, whatever --threads asks for
+        assert!(s.contains("batch: 3 queries on 1 shard(s)"), "{s}");
         // same answers as per-pair queries, regardless of thread count
         let single =
             run_to_string(&["query", &path, "--index", "online-BFS", "--batch", &batch]).unwrap();

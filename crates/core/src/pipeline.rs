@@ -42,7 +42,8 @@ use std::time::{Duration, Instant};
 
 /// Default parameters used when a technique needs one (GRAIL trees,
 /// Ferrari budget, IP permutations, BFL bits, landmark counts).
-/// The ablation benches sweep these; the tables use the defaults.
+/// The `sweep` bin of `reach-bench` varies these; the tables use the
+/// defaults.
 pub mod defaults {
     /// GRAIL / DAGGER labelings.
     pub const GRAIL_K: usize = 3;

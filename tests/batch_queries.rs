@@ -54,6 +54,11 @@ fn random_digraph(rng: &mut SmallRng) -> (usize, Vec<(u32, u32)>) {
 /// source-grouping paths both get exercised.
 fn random_pairs(n: usize, rng: &mut SmallRng) -> Vec<(VertexId, VertexId)> {
     let q = rng.random_range(0usize..80);
+    pairs_of_len(n, q, rng)
+}
+
+/// `q` pairs drawn like [`random_pairs`].
+fn pairs_of_len(n: usize, q: usize, rng: &mut SmallRng) -> Vec<(VertexId, VertexId)> {
     (0..q)
         .map(|_| {
             let s = VertexId(rng.random_range(0..n as u32) / 2);
@@ -150,13 +155,25 @@ fn query_batch_matches_per_pair_query_for_every_registry_index() {
     }
 }
 
+/// The fewest pairs `QueryEngine` gives a shard: half the smallest
+/// batch it splits across two threads.
+fn shard_floor() -> usize {
+    let engine = QueryEngine::new(2);
+    (1..).find(|&len| engine.shards(len) == 2).unwrap() / 2
+}
+
 #[test]
 fn query_engine_is_identical_for_one_and_eight_threads() {
+    let floor = shard_floor();
+    // one size answered inline at any thread count, two that shard
+    let sizes = [floor - 1, 2 * floor, 3 * floor + 7];
+    assert_eq!(QueryEngine::new(8).shards(sizes[0]), 1);
+    assert!(QueryEngine::new(8).shards(sizes[1]) > 1);
     for case in 0..12 {
         let mut rng = SmallRng::seed_from_u64(0xE291_0000 + case);
         let (n, edges) = random_digraph(&mut rng);
         let g = PreparedGraph::new(DiGraph::from_edges(n, &edges));
-        let pairs = random_pairs(n, &mut rng);
+        let pairs = pairs_of_len(n, sizes[case as usize % sizes.len()], &mut rng);
         for name in ["online-BFS", "online-BiBFS", "GRAIL", "BFL", "PLL"] {
             if !plain_feasible(name, g.num_vertices(), g.num_edges()) {
                 continue;
