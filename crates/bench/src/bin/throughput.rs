@@ -6,8 +6,9 @@
 //! The workload has *source locality* (several targets per source, the
 //! shape of real query logs): that is what the batch overrides exploit
 //! — multi-source bit-parallel BFS packs 64 distinct sources into one
-//! traversal for the online baselines, and guided search answers a
-//! whole source group with one pruned DFS.
+//! traversal for the online baselines (online BiBFS sweeps a word only
+//! when it carries enough pairs, as every full word of this log does),
+//! and guided search answers a whole source group with one pruned DFS.
 //!
 //! ```text
 //! cargo run --release -p reach-bench --bin throughput -- \

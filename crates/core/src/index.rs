@@ -91,8 +91,9 @@ pub trait ReachIndex: Send + Sync {
     ///
     /// The default is the per-pair loop; traversal-backed indexes
     /// override it with batch-aware evaluation (multi-source
-    /// bit-parallel BFS for the online baselines, same-source grouping
-    /// for guided search). Overrides must return exactly what the
+    /// bit-parallel BFS for the online baselines — online BiBFS only on
+    /// words with enough pairs — and same-source grouping for guided
+    /// search). Overrides must return exactly what the
     /// per-pair loop would.
     fn query_batch(&self, pairs: &[(VertexId, VertexId)]) -> Vec<bool> {
         pairs.iter().map(|&(s, t)| self.query(s, t)).collect()

@@ -15,7 +15,7 @@ use crate::index::{
 };
 use crate::interval::SpanningForest;
 use reach_graph::topo::topological_levels;
-use reach_graph::traverse::{Side, VisitMap};
+use reach_graph::traverse::{self, VisitMap};
 use reach_graph::{Dag, DiGraph, ScratchPool, VertexId};
 use std::sync::Arc;
 
@@ -129,52 +129,20 @@ impl ReachIndex for Preach {
         let visit = &mut *self
             .scratch
             .checkout(|| VisitMap::new(self.graph.num_vertices()));
-        visit.reset();
-        visit.mark(s, Side::Forward);
-        visit.mark(t, Side::Backward);
-        // double-buffered frontiers, as in `bibfs_reaches`
-        let mut fwd = vec![s];
-        let mut bwd = vec![t];
-        let mut next = Vec::new();
-        while !fwd.is_empty() && !bwd.is_empty() {
-            if fwd.len() <= bwd.len() {
-                for &u in &fwd {
-                    for &v in self.graph.out_neighbors(u) {
-                        if visit.is_marked(v, Side::Backward) {
-                            return true;
-                        }
-                        if !visit.mark(v, Side::Forward) {
-                            continue;
-                        }
-                        match self.filter.certain(v, t) {
-                            Certainty::Reachable => return true,
-                            Certainty::Unreachable => {}
-                            Certainty::Unknown => next.push(v),
-                        }
-                    }
-                }
-                std::mem::swap(&mut fwd, &mut next);
-            } else {
-                for &u in &bwd {
-                    for &v in self.graph.in_neighbors(u) {
-                        if visit.is_marked(v, Side::Forward) {
-                            return true;
-                        }
-                        if !visit.mark(v, Side::Backward) {
-                            continue;
-                        }
-                        match self.filter.certain(s, v) {
-                            Certainty::Reachable => return true,
-                            Certainty::Unreachable => {}
-                            Certainty::Unknown => next.push(v),
-                        }
-                    }
-                }
-                std::mem::swap(&mut bwd, &mut next);
-            }
-            next.clear();
-        }
-        false
+        // `Unreachable` prunes a vertex, `Reachable` answers the query
+        let verdict = |c| match c {
+            Certainty::Reachable => Some(true),
+            Certainty::Unreachable => Some(false),
+            Certainty::Unknown => None,
+        };
+        traverse::pruned_bibfs_reaches(
+            &self.graph,
+            s,
+            t,
+            visit,
+            |v| verdict(self.filter.certain(v, t)),
+            |v| verdict(self.filter.certain(s, v)),
+        )
     }
 
     fn meta(&self) -> IndexMeta {

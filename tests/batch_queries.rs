@@ -4,7 +4,8 @@
 //!   agrees with one BFS per pair on arbitrary DAGs and digraphs;
 //! * `ReachIndex::query_batch` — both the default per-pair loop and
 //!   every override (online baselines, guided search) — agrees with
-//!   `query` for every registry-built index;
+//!   `query` for every registry-built index, and for the online
+//!   baselines also on batches that fill whole 64-source words;
 //! * `QueryEngine` output is byte-identical across thread counts, so
 //!   sharding (including its locality-aware source sort) is invisible.
 //!
@@ -13,7 +14,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use reachability::graph::{traverse, PreparedGraph};
+use reachability::graph::{generators, traverse, PreparedGraph};
 use reachability::plain::pipeline::{build_plain_prepared, plain_feasible, plain_names, BuildOpts};
 use reachability::plain::QueryEngine;
 use reachability::prelude::*;
@@ -191,6 +192,67 @@ fn query_engine_is_identical_for_one_and_eight_threads() {
                     idx.query(s, t),
                     "case {case}: {name} at {s:?}->{t:?}"
                 );
+            }
+        }
+    }
+}
+
+/// A shuffled batch over sources `0..targets.len()`, source `k` asking
+/// about `targets[k]` pairs: its self-pair first, then random targets.
+/// Batches pack distinct sources 64 to a word in id order, so
+/// `targets` fixes the pair count of every word.
+fn word_shaped_pairs(n: usize, targets: &[usize], rng: &mut SmallRng) -> Vec<(VertexId, VertexId)> {
+    let mut pairs = Vec::new();
+    for (k, &r) in targets.iter().enumerate() {
+        let s = VertexId(k as u32);
+        pairs.push((s, s));
+        for _ in 1..r {
+            pairs.push((s, VertexId(rng.random_range(0..n as u32))));
+        }
+    }
+    for i in (1..pairs.len()).rev() {
+        pairs.swap(i, rng.random_range(0..=i));
+    }
+    pairs
+}
+
+#[test]
+fn online_batches_match_per_pair_queries_on_full_words() {
+    // Words of 64 sources × r pairs straddle the BiBFS sweep floor (a
+    // few hundred pairs): r = 2 stays below it, r = 8 and r = 16 are
+    // above, and the mix puts a 1024-pair word before two small ones.
+    // 150 sources fill more than two words.
+    let shapes: [(&str, Vec<usize>); 4] = [
+        ("below", vec![2; 150]),
+        ("above", vec![8; 128]),
+        ("far above", vec![16; 64]),
+        (
+            "mix",
+            (0..150).map(|k| if k < 64 { 16 } else { 1 }).collect(),
+        ),
+    ];
+    let mut rng = SmallRng::seed_from_u64(0xB1BF_0000);
+    for case in 0..6 {
+        let n = 200;
+        let m = n * (1 + case % 3);
+        let g = if case < 3 {
+            generators::random_dag(n, m, &mut rng).into_graph()
+        } else {
+            generators::random_digraph(n, m, &mut rng)
+        };
+        let g = PreparedGraph::new(g);
+        for (shape, targets) in &shapes {
+            let pairs = word_shaped_pairs(n, targets, &mut rng);
+            for name in ["online-BFS", "online-DFS", "online-BiBFS"] {
+                let idx = build_plain_prepared(name, &g, &BuildOpts::default());
+                let batch = idx.query_batch(&pairs);
+                for (i, &(s, t)) in pairs.iter().enumerate() {
+                    assert_eq!(
+                        batch[i],
+                        idx.query(s, t),
+                        "case {case} ({shape}): {name} at {s:?}->{t:?}"
+                    );
+                }
             }
         }
     }
