@@ -36,6 +36,14 @@ pub struct Pll {
     lout: Vec<Vec<u32>>,
 }
 
+/// Scratch one build reuses across every hop's search.
+struct BuildScratch {
+    queue: Vec<VertexId>,
+    seen: Vec<bool>,
+    /// `in_fixed[h]`: rank `h` is in the current search's fixed label.
+    in_fixed: Vec<bool>,
+}
+
 impl Pll {
     /// Builds the index with the degree-descending order.
     pub fn build(g: &DiGraph) -> Self {
@@ -58,60 +66,68 @@ impl Pll {
             lin: vec![Vec::new(); n],
             lout: vec![Vec::new(); n],
         };
-        let mut queue: Vec<VertexId> = Vec::new();
-        let mut seen = vec![false; n];
+        let mut scratch = BuildScratch {
+            queue: Vec::new(),
+            seen: vec![false; n],
+            in_fixed: vec![false; n],
+        };
         for r in 0..n as u32 {
-            pll.pruned_bfs(g, r, true, &mut queue, &mut seen);
-            pll.pruned_bfs(g, r, false, &mut queue, &mut seen);
+            pll.pruned_bfs(g, r, true, &mut scratch);
+            pll.pruned_bfs(g, r, false, &mut scratch);
         }
         pll
     }
 
-    fn pruned_bfs(
-        &mut self,
-        g: &DiGraph,
-        r: u32,
-        forward: bool,
-        queue: &mut Vec<VertexId>,
-        seen: &mut [bool],
-    ) {
+    /// The forward (labelling `Lin`) or backward (labelling `Lout`)
+    /// BFS of hop `w`, rank `r`. A visit to `x` is pruned when a
+    /// higher-priority hop already covers the pair, i.e. when the hop's
+    /// *fixed* label (`Lout(w)` forward, `Lin(w)` backward) meets `x`'s
+    /// label. The fixed label cannot change during its own search — the
+    /// forward search only appends to `Lin`, the backward one only to
+    /// `Lout` — so it is loaded once into a rank-indexed table and the
+    /// check scans only `x`'s label.
+    fn pruned_bfs(&mut self, g: &DiGraph, r: u32, forward: bool, s: &mut BuildScratch) {
         let w = self.vertex_at[r as usize];
-        queue.clear();
-        queue.push(w);
-        seen[w.index()] = true;
+        let (fixed, grown) = if forward {
+            (&self.lout[w.index()], &mut self.lin)
+        } else {
+            (&self.lin[w.index()], &mut self.lout)
+        };
+        for &h in fixed {
+            s.in_fixed[h as usize] = true;
+        }
+        s.queue.clear();
+        s.queue.push(w);
+        s.seen[w.index()] = true;
         let mut head = 0;
-        while head < queue.len() {
-            let x = queue[head];
+        while head < s.queue.len() {
+            let x = s.queue[head];
             head += 1;
             // prune: the pair (w, x) is already covered by a
-            // higher-priority hop
-            let covered = if forward {
-                sorted_intersects(&self.lout[w.index()], &self.lin[x.index()])
-            } else {
-                sorted_intersects(&self.lout[x.index()], &self.lin[w.index()])
-            };
-            if covered {
+            // higher-priority hop. A vertex ranked above `w` lies on
+            // the path itself, so its own searches covered the pair.
+            let label = &mut grown[x.index()];
+            if self.rank_of[x.index()] < r || label.iter().any(|&h| s.in_fixed[h as usize]) {
                 continue;
             }
-            if forward {
-                self.lin[x.index()].push(r); // ranks ascend across hops
-            } else {
-                self.lout[x.index()].push(r);
-            }
+            label.push(r); // ranks ascend across hops
             let adj = if forward {
                 g.out_neighbors(x)
             } else {
                 g.in_neighbors(x)
             };
             for &y in adj {
-                if !seen[y.index()] {
-                    seen[y.index()] = true;
-                    queue.push(y);
+                if !s.seen[y.index()] {
+                    s.seen[y.index()] = true;
+                    s.queue.push(y);
                 }
             }
         }
-        for &x in queue.iter() {
-            seen[x.index()] = false;
+        for &h in fixed {
+            s.in_fixed[h as usize] = false;
+        }
+        for &x in &s.queue {
+            s.seen[x.index()] = false;
         }
     }
 
@@ -196,7 +212,61 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use reach_graph::fixtures;
-    use reach_graph::generators::{power_law_dag, random_digraph};
+    use reach_graph::generators::{power_law_dag, random_dag, random_digraph};
+
+    /// The merge-pruned builder the rank-indexed one replaced: every
+    /// visit merge-walks the hop's fixed label against the visited
+    /// vertex's. Returns `(lin, lout)`.
+    fn reference_labels(g: &DiGraph, order: &[VertexId]) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
+        let n = g.num_vertices();
+        let mut lin = vec![Vec::new(); n];
+        let mut lout = vec![Vec::new(); n];
+        let mut seen = vec![false; n];
+        for (r, &w) in order.iter().enumerate() {
+            for forward in [true, false] {
+                let mut queue = vec![w];
+                seen[w.index()] = true;
+                let mut head = 0;
+                while head < queue.len() {
+                    let x = queue[head];
+                    head += 1;
+                    let (from, to) = if forward { (w, x) } else { (x, w) };
+                    if sorted_intersects(&lout[from.index()], &lin[to.index()]) {
+                        continue;
+                    }
+                    let (label, adj) = if forward {
+                        (&mut lin[x.index()], g.out_neighbors(x))
+                    } else {
+                        (&mut lout[x.index()], g.in_neighbors(x))
+                    };
+                    label.push(r as u32);
+                    for &y in adj {
+                        if !seen[y.index()] {
+                            seen[y.index()] = true;
+                            queue.push(y);
+                        }
+                    }
+                }
+                for &x in &queue {
+                    seen[x.index()] = false;
+                }
+            }
+        }
+        (lin, lout)
+    }
+
+    /// Asserts that `pll` carries exactly the reference labels for its
+    /// own order.
+    fn assert_reference_labels(g: &DiGraph, pll: &Pll) {
+        let order: Vec<VertexId> = (0..g.num_vertices() as u32)
+            .map(|r| pll.vertex_at(r))
+            .collect();
+        let (lin, lout) = reference_labels(g, &order);
+        for x in g.vertices() {
+            assert_eq!(pll.lin(x), lin[x.index()], "lin({x:?})");
+            assert_eq!(pll.lout(x), lout[x.index()], "lout({x:?})");
+        }
+    }
 
     fn check_exact(g: &DiGraph) {
         let pll = Pll::build(g);
@@ -271,5 +341,51 @@ mod tests {
             pll.size_entries(),
             dl.size_entries()
         );
+    }
+
+    #[test]
+    fn labels_equal_the_reference_on_random_dags() {
+        let mut rng = SmallRng::seed_from_u64(106);
+        for (n, m) in [(60, 120), (200, 600), (400, 800)] {
+            let g = random_dag(n, m, &mut rng).into_graph();
+            assert_reference_labels(&g, &Pll::build(&g));
+        }
+        let g = power_law_dag(300, 3, &mut rng).into_graph();
+        assert_reference_labels(&g, &Pll::build(&g));
+    }
+
+    #[test]
+    fn labels_equal_the_reference_on_random_digraphs() {
+        let mut rng = SmallRng::seed_from_u64(107);
+        for (n, m) in [(45, 130), (150, 300), (300, 1200)] {
+            let g = random_digraph(n, m, &mut rng);
+            assert_reference_labels(&g, &Pll::build(&g));
+            // an order unrelated to degree: the ascending vertex ids
+            let order: Vec<VertexId> = g.vertices().collect();
+            assert_reference_labels(&g, &Pll::build_with_order(&g, &order));
+        }
+    }
+
+    #[test]
+    fn labels_equal_the_reference_when_a_hop_prunes_itself() {
+        // 0 is the hub (rank 0) of the cycle 0 -> 1 -> 2 -> 0, so hop
+        // 1's forward search finds (1, 1) covered through hop 0 and
+        // prunes at its own root.
+        let g = DiGraph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (0, 3), (0, 4), (4, 5)]);
+        let pll = Pll::build(&g);
+        assert_eq!(pll.rank_of(VertexId(0)), 0);
+        assert_reference_labels(&g, &pll);
+        let self_pruned = |pll: &Pll, g: &DiGraph| {
+            g.vertices()
+                .filter(|&v| !pll.lin(v).contains(&pll.rank_of(v)))
+                .count()
+        };
+        assert!(self_pruned(&pll, &g) >= 2, "1 and 2 prune at their roots");
+        // and on random graphs with large SCCs
+        let mut rng = SmallRng::seed_from_u64(108);
+        let g = random_digraph(200, 500, &mut rng);
+        let pll = Pll::build(&g);
+        assert!(self_pruned(&pll, &g) > 0);
+        assert_reference_labels(&g, &pll);
     }
 }

@@ -11,6 +11,7 @@
 
 use crate::lcr::LcrIndex;
 use crate::online::lcr_bfs;
+use crate::p2h::LabelEntry;
 use crate::pipeline::{lcr_spec, LcrSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -66,8 +67,14 @@ pub fn audit_lcr_index(idx: &dyn LcrIndex, g: &LabeledGraph, cfg: &AuditConfig) 
             }
         }
     }
-    overflow_note(name, "lcr-soundness", false_pos, &mut violations);
-    overflow_note(name, "lcr-completeness", false_neg, &mut violations);
+    overflow_note(name, "lcr-soundness", "triples", false_pos, &mut violations);
+    overflow_note(
+        name,
+        "lcr-completeness",
+        "triples",
+        false_neg,
+        &mut violations,
+    );
 
     // Reflexivity: the empty path satisfies every constraint, even the
     // empty label set.
@@ -104,7 +111,13 @@ pub fn audit_lcr_index(idx: &dyn LcrIndex, g: &LabeledGraph, cfg: &AuditConfig) 
             }
         }
     }
-    overflow_note(name, "lcr-monotonicity", non_monotone, &mut violations);
+    overflow_note(
+        name,
+        "lcr-monotonicity",
+        "triples",
+        non_monotone,
+        &mut violations,
+    );
 
     // Per-technique structural invariants.
     violations.extend(idx.check_invariants(g));
@@ -137,14 +150,135 @@ pub fn audit_lcr(
     lcr_spec(name).map(|spec| audit_lcr_spec(spec, g, opts, cfg))
 }
 
-fn overflow_note(index: &'static str, rule: &'static str, count: usize, out: &mut Vec<Violation>) {
+fn overflow_note(
+    index: &'static str,
+    rule: &'static str,
+    what: &str,
+    count: usize,
+    out: &mut Vec<Violation>,
+) {
     if count > MAX_PER_RULE {
         out.push(Violation {
             index,
             rule,
-            detail: format!("... and {} more such triples", count - MAX_PER_RULE),
+            detail: format!("... and {} more such {what}", count - MAX_PER_RULE),
         });
     }
+}
+
+/// Sampled vertices whose entries [`check_label_entries`] proves by
+/// search, and entries per list it proves at each.
+const SOUNDNESS_VERTICES: usize = 32;
+const SOUNDNESS_ENTRIES: usize = 8;
+
+/// Shared validator for the label-set 2-hop family (P2H+, DLCR),
+/// whose lists hold `(hop rank, label set)` entries:
+/// - each list is sorted by rank, and every rank names a vertex;
+/// - the label sets of one rank in one list form an antichain under
+///   `⊆` (a dominated set is redundant);
+/// - hops are sound: on a bounded sample, `(h, S) ∈ Lin(x)` has an
+///   `h → x` path inside `S`, and `(h, S) ∈ Lout(x)` an `x → h` one.
+pub(crate) fn check_label_entries(
+    name: &'static str,
+    g: &LabeledGraph,
+    rank_of: &[u32],
+    lin: &[Vec<LabelEntry>],
+    lout: &[Vec<LabelEntry>],
+) -> Vec<Violation> {
+    let n = g.num_vertices();
+    let mut out = Vec::new();
+    if rank_of.len() != n || lin.len() != n || lout.len() != n {
+        out.push(Violation {
+            index: name,
+            rule: "graph-mismatch",
+            detail: format!("index covers {} vertices, graph has {n}", lin.len()),
+        });
+        return out;
+    }
+    let mut vertex_at = vec![VertexId(0); n];
+    for v in g.vertices() {
+        vertex_at[rank_of[v.index()] as usize] = v;
+    }
+    // (name, list, whether its hops lie before `x` on their paths)
+    let lists = |x: VertexId| {
+        [
+            ("lin", &lin[x.index()], true),
+            ("lout", &lout[x.index()], false),
+        ]
+    };
+
+    let mut bad_order = 0usize;
+    let mut not_antichain = 0usize;
+    for x in g.vertices() {
+        for (kind, entries, _) in lists(x) {
+            let sorted = entries.windows(2).all(|w| w[0].0 <= w[1].0);
+            if !sorted || entries.iter().any(|&(h, _)| h as usize >= n) {
+                bad_order += 1;
+                if bad_order <= MAX_PER_RULE {
+                    out.push(Violation {
+                        index: name,
+                        rule: "lcr2hop-entry-order",
+                        detail: format!(
+                            "{kind}({x:?}) is not sorted by in-range ranks: {entries:?}"
+                        ),
+                    });
+                }
+                continue;
+            }
+            for run in entries.chunk_by(|a, b| a.0 == b.0) {
+                let dominated = run.iter().enumerate().any(|(i, &(_, si))| {
+                    run.iter()
+                        .enumerate()
+                        .any(|(j, &(_, sj))| i != j && sj.is_subset_of(si))
+                });
+                if dominated {
+                    not_antichain += 1;
+                    if not_antichain <= MAX_PER_RULE {
+                        out.push(Violation {
+                            index: name,
+                            rule: "lcr2hop-antichain",
+                            detail: format!(
+                                "{kind}({x:?}) holds comparable sets for rank {}: {run:?}",
+                                run[0].0
+                            ),
+                        });
+                    }
+                }
+            }
+        }
+    }
+    overflow_note(name, "lcr2hop-entry-order", "lists", bad_order, &mut out);
+    overflow_note(name, "lcr2hop-antichain", "lists", not_antichain, &mut out);
+    if bad_order > 0 {
+        return out; // ranks out of range would name no hop
+    }
+
+    let mut unsound = 0usize;
+    for x in reach_core::audit::sample_vertices(n, SOUNDNESS_VERTICES) {
+        for (kind, entries, hop_first) in lists(x) {
+            let step = entries.len().div_ceil(SOUNDNESS_ENTRIES).max(1);
+            for &(h, set) in entries.iter().step_by(step) {
+                let hop = vertex_at[h as usize];
+                let (s, t) = if hop_first { (hop, x) } else { (x, hop) };
+                if lcr_bfs(g, s, t, set) {
+                    continue;
+                }
+                unsound += 1;
+                if unsound <= MAX_PER_RULE {
+                    out.push(Violation {
+                        index: name,
+                        rule: "lcr2hop-soundness",
+                        detail: format!(
+                            "{kind}({x:?}) lists hop {hop:?} (rank {h}) under {set:?}, \
+                             but no {s:?} -> {t:?} path stays inside it"
+                        ),
+                    });
+                }
+            }
+        }
+    }
+    overflow_note(name, "lcr2hop-soundness", "entries", unsound, &mut out);
+    out
 }
 
 /// Seeded triple sample: half uniform targets, half manufactured

@@ -14,10 +14,12 @@
 //! (completeness follows from the highest-priority-vertex-on-the-path
 //! argument; cf. [`reach_core::tol`] for the plain-graph analogue).
 
+use crate::audit::check_label_entries;
 use crate::lcr::{
     Completeness, ConstraintClass, Dynamism, InputClass, LabeledIndexMeta, LcrFramework, LcrIndex,
 };
 use crate::p2h::{entries_join, entry_insert, entry_present, LabelEntry};
+use reach_core::audit::Violation;
 use reach_graph::{Label, LabelSet, LabeledGraph, VertexId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -182,12 +184,21 @@ impl LcrIndex for Dlcr {
         }
     }
 
+    /// The same 12-bytes-per-entry count as
+    /// [`P2hPlus`](crate::p2h::P2hPlus), which understates the 16 bytes
+    /// an entry occupies.
     fn size_bytes(&self) -> usize {
         12 * self.size_entries() + 48 * self.lin.len()
     }
 
     fn size_entries(&self) -> usize {
         self.lin.iter().map(Vec::len).sum::<usize>() + self.lout.iter().map(Vec::len).sum::<usize>()
+    }
+
+    /// Rank-sorted lists, one antichain of label sets per rank, and
+    /// sampled hop entries proven by constrained search.
+    fn check_invariants(&self, graph: &LabeledGraph) -> Vec<Violation> {
+        check_label_entries("DLCR", graph, &self.rank_of, &self.lin, &self.lout)
     }
 }
 
@@ -308,5 +319,32 @@ mod tests {
         assert_eq!(idx.size_entries(), before);
         idx.delete_edge(fixtures::B, fixtures::FOLLOWS, fixtures::A);
         check_exact(&g, &idx);
+    }
+
+    #[test]
+    fn check_invariants_hold_through_updates() {
+        let mut rng = SmallRng::seed_from_u64(265);
+        let g = random_labeled_digraph(40, 100, 3, LabelDistribution::Uniform, &mut rng);
+        let mut idx = Dlcr::build(&g);
+        let mut edges: Vec<(u32, u8, u32)> = g.edges().map(|(u, l, v)| (u.0, l.0, v.0)).collect();
+        for step in 0..20 {
+            if step % 2 == 0 {
+                let (u, v, l) = (
+                    rng.random_range(0..40u32),
+                    rng.random_range(0..40u32),
+                    rng.random_range(0..3u8),
+                );
+                if u != v && !edges.contains(&(u, l, v)) {
+                    idx.insert_edge(VertexId(u), Label(l), VertexId(v));
+                    edges.push((u, l, v));
+                }
+            } else {
+                let (u, l, v) = edges.swap_remove(rng.random_range(0..edges.len()));
+                idx.delete_edge(VertexId(u), Label(l), VertexId(v));
+            }
+            let g2 = LabeledGraph::from_edges(40, 3, &edges);
+            let v = idx.check_invariants(&g2);
+            assert!(v.is_empty(), "after step {step}: {v:#?}");
+        }
     }
 }
